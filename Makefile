@@ -26,8 +26,10 @@ test:
 # a 200k-row scan+filter+aggregate, asserted unconditionally), and the
 # worker-pool throughput floor (>= 2x over fork-per-query on a
 # repeated-query stream, asserted unconditionally — the floor is
-# overhead-based, not CPU-scaling).  Perf regressions surface in
-# seconds.
+# overhead-based, not CPU-scaling) with its append-delta floor (after
+# an A-row append the next pool query ships exactly A rows per worker
+# holding the table, a deterministic count asserted on any box).
+# Perf regressions surface in seconds.
 bench-smoke:
 	$(PYTHON) benchmarks/bench_synthesis_speed.py --smoke
 	$(PYTHON) benchmarks/bench_planner.py --smoke

@@ -7,7 +7,7 @@ its workers once, caches shipped tables by content digest, and ships
 only plan fragments afterwards — so for a stream of repeated mid-size
 parallel queries the per-query cost collapses to dispatch + execution.
 
-Three claims:
+Four claims:
 
 * **outcome identity** (asserted unconditionally): the pool stream
   returns rows, columns and engine statistics identical to serial and
@@ -22,7 +22,13 @@ Three claims:
 * **zero re-ship** (asserted unconditionally): the measured stream
   ships no table rows after warm-up — repeated queries against an
   unchanged catalog are served entirely from the workers' digest-keyed
-  caches.
+  caches;
+* **append delta** (asserted unconditionally): after ``APPEND_ROWS``
+  rows are appended to the warm stream's table, the next query ships
+  exactly ``APPEND_ROWS`` rows to each worker holding the table
+  (``min(pool size, PARTITIONS)`` of them) — not the whole grown
+  table.  Like the zero re-ship claim it is a deterministic counter,
+  so it holds on any hardware.
 
 Run directly::
 
@@ -46,6 +52,8 @@ from repro.sql.executor import ExecutorOptions
 MIN_POOL_SPEEDUP = 2.0
 PARTITIONS = 4
 N_ROWS = 1_500
+#: rows appended after the timed stream for the append-delta floor.
+APPEND_ROWS = 25
 
 #: The repeated query: partial GROUP BY, per-partition results are a
 #: handful of groups, so transport cost is negligible for both
@@ -109,6 +117,16 @@ def run(smoke=False):
     procs_time = stream_seconds(procs_view, queries, rounds)
     speedup = procs_time / pool_time if pool_time else float("inf")
 
+    holders = min(pool_mod.get_pool().size, PARTITIONS)
+    shipped_before = pool_mod._ROWS_SHIPPED.total()
+    db.insert_many("ev", ({"id": N_ROWS + i, "a": i % 97, "g": i % 7,
+                           "v": i % 1013} for i in range(APPEND_ROWS)))
+    appended_result = pool_view.execute(STREAM_SQL)
+    rows_after_append = pool_mod._ROWS_SHIPPED.total() - shipped_before
+    assert list(appended_result.rows) == \
+        list(db.execute(STREAM_SQL).rows), "pool after append"
+    append_floor = APPEND_ROWS * holders
+
     print("%-34s %8.2fms  (%5.2fms/query)"
           % ("pool x%d, %d queries" % (PARTITIONS, queries),
              pool_time * 1e3, pool_time / queries * 1e3))
@@ -119,8 +137,13 @@ def run(smoke=False):
     print("pool throughput vs fork-per-query: %.2fx (floor %.1fx)"
           % (speedup, MIN_POOL_SPEEDUP))
     print("table rows re-shipped during warm stream: %d" % rows_reshipped)
+    print("rows shipped after a %d-row append: %d (exact floor %d = %d x "
+          "%d workers; a whole-table re-ship would be %d)"
+          % (APPEND_ROWS, rows_after_append, append_floor, APPEND_ROWS,
+             holders, (N_ROWS + APPEND_ROWS) * holders))
 
-    ok = speedup >= MIN_POOL_SPEEDUP and rows_reshipped == 0
+    ok = speedup >= MIN_POOL_SPEEDUP and rows_reshipped == 0 \
+        and rows_after_append == append_floor
     write_bench_artifact(
         "worker_pool", ok, smoke=smoke,
         floors={"pool_throughput": floor_entry(speedup, MIN_POOL_SPEEDUP,
@@ -130,11 +153,17 @@ def run(smoke=False):
                "pool_seconds": pool_time,
                "processes_seconds": procs_time,
                "rows_reshipped": rows_reshipped,
+               "append_rows": APPEND_ROWS,
+               "rows_shipped_after_append": rows_after_append,
                "cache_hits": pool_mod._CACHE_HITS.total(),
                "cache_misses": pool_mod._CACHE_MISSES.total()})
     pool_mod.reset_pool()
     if rows_reshipped:
         print("FAIL: warm pool re-shipped %d table rows" % rows_reshipped)
+        return 1
+    if rows_after_append != append_floor:
+        print("FAIL: %d rows shipped after a %d-row append, expected %d"
+              % (rows_after_append, APPEND_ROWS, append_floor))
         return 1
     if speedup < MIN_POOL_SPEEDUP:
         print("FAIL: pool throughput %.2fx < %.1fx"

@@ -12,12 +12,18 @@ by a pickle of ``(kind, payload)``:
 
 * ``("store", (digest, table))`` — driver → worker: cache ``table``
   under its content ``digest``.  No reply.
+* ``("extend", (old_digest, new_digest, rows))`` — driver → worker:
+  replay ``rows`` through ``Table.insert`` on the copy cached under
+  ``old_digest`` and re-key it as ``new_digest``.  No reply; a worker
+  that lacks ``old_digest`` (or cannot apply the rows) caches nothing,
+  and the next ``run`` reports ``new_digest`` missing.
 * ``("run", (job, plan, key, attempt))`` — driver → worker: execute
   ``job.run_in_worker(cache)`` after applying the shipped fault
   ``plan`` for ``(key, attempt)``.  Exactly one reply frame:
-  ``("ok", result)``, ``("exc", exception)`` or ``("error", payload)``
-  (:func:`repro.service.faults.error_payload`, when the real reply
-  will not pickle).
+  ``("ok", result)``, ``("exc", exception)``, ``("missing",
+  digests)`` (the job needs tables the worker does not cache) or
+  ``("error", payload)`` (:func:`repro.service.faults.error_payload`,
+  when the real reply will not pickle).
 * ``("drop", digest)`` — driver → worker: evict one cached table.
 * ``("shutdown", None)`` — driver → worker: exit cleanly.
 
@@ -27,10 +33,20 @@ by a pickle of ``(kind, payload)``:
 catalog's schema version — together the ``(catalog_version, content
 hash)`` cache key).  The driver tracks which digests each worker
 holds and ships a table at most once per worker per content version:
-a warm pool re-ships **zero** rows for an unchanged catalog.  Cache
-slots are bounded (:data:`CACHE_TABLES_PER_WORKER`); the driver owns
-the LRU decision and sends explicit ``drop`` frames so both sides
-stay in sync.
+a warm pool re-ships **zero** rows for an unchanged catalog.  When a
+worker holds an older version of a table and every change since was
+an append (:meth:`repro.sql.catalog.Table.rows_appended_since`), only
+the appended rows travel, in an ``extend`` frame; otherwise the whole
+table is stored again and the superseded version dropped, so a worker
+holds at most one version per table.  A ``store`` or ``extend`` frame
+is encoded once per :meth:`WorkerPool.run_jobs` call, however many
+workers receive it.  Cache slots are bounded
+(:data:`CACHE_TABLES_PER_WORKER`); the driver owns the LRU decision
+and sends explicit ``drop`` frames so both sides stay in sync.  If
+the two views drift apart anyway, the worker's ``missing`` reply
+names the tables it lacks; the driver forgets them for that worker
+and retries the job as :data:`~repro.service.faults.CORRUPT_PAYLOAD`,
+which ships them whole.
 
 **Faults.**  The pool is a substrate, so it degrades instead of
 failing: a worker that dies mid-job (pipe EOF) is respawned and the
@@ -59,7 +75,8 @@ import select
 import struct
 import time
 from collections import OrderedDict
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, NamedTuple, Optional, \
+    Sequence, Tuple
 
 from repro.obs import metrics as obs_metrics
 from repro.service import faults
@@ -86,7 +103,8 @@ _CACHE_MISSES = obs_metrics.counter(
     "Tables shipped to a worker that did not hold the digest.")
 _ROWS_SHIPPED = obs_metrics.counter(
     "repro_pool_rows_shipped_total",
-    "Table rows serialized to pool workers (0 on a warm pool).")
+    "Table rows serialized to pool workers (0 on a warm pool), "
+    "labelled kind=full (whole table) or kind=append (new rows only).")
 _RESPAWNS = obs_metrics.counter(
     "repro_pool_respawns_total",
     "Pool workers respawned after dying mid-job.")
@@ -99,6 +117,10 @@ _WORKERS.set(0.0)
 
 
 # -- framing -------------------------------------------------------------------
+
+
+def _encode(kind: str, payload: Any) -> bytes:
+    return pickle.dumps((kind, payload), protocol=pickle.HIGHEST_PROTOCOL)
 
 
 def _write_frame(fd: int, payload: bytes) -> None:
@@ -177,6 +199,17 @@ def _worker_main(recv_fd: int, send_fd: int) -> None:
             digest, table = payload
             cache[digest] = table
             continue
+        if kind == "extend":
+            old, new, rows = payload
+            table = cache.pop(old, None)
+            if table is None:
+                continue
+            try:
+                table.insert_many(rows)
+            except Exception:
+                continue  # half-applied: discard, ``run`` reports it
+            cache[new] = table
+            continue
         if kind == "drop":
             cache.pop(payload, None)
             continue
@@ -185,9 +218,14 @@ def _worker_main(recv_fd: int, send_fd: int) -> None:
         faults.set_current_attempt(attempt)
         try:
             poisoned = faults.perturb(plan, key, attempt)
-            result = poisoned if poisoned is not None \
-                else job.run_in_worker(cache)
-            reply = ("ok", result)
+            missing = sorted(digest for digest in job.digest_map.values()
+                             if digest not in cache)
+            if poisoned is not None:
+                reply = ("ok", poisoned)
+            elif missing:
+                reply = ("missing", missing)
+            else:
+                reply = ("ok", job.run_in_worker(cache))
         except BaseException as exc:  # ship it home, never die silently
             reply = ("exc", exc)
         try:
@@ -205,6 +243,19 @@ def _worker_main(recv_fd: int, send_fd: int) -> None:
 
 
 # -- driver side ---------------------------------------------------------------
+
+
+class _Held(NamedTuple):
+    """The version of a table a worker caches under one digest."""
+
+    uid: int
+    version: int
+    nrows: int
+
+
+#: encoded ``store``/``extend`` frames of one ``run_jobs`` call, keyed
+#: ``(old_digest, digest)`` with ``old_digest`` None for a full ship.
+_Frames = Dict[Tuple[Optional[str], str], bytes]
 
 
 class _PoolWorker:
@@ -229,12 +280,21 @@ class _PoolWorker:
         os.close(result_write)
         self.send_fd = job_write
         self.recv_fd = result_read
-        #: digests this worker caches, in LRU order (oldest first).
-        self.cached: "OrderedDict[str, None]" = OrderedDict()
+        #: digests this worker caches, in LRU order (oldest first), each
+        #: with the table version it names (None for a table without a
+        #: ``uid``, which can only ever be shipped whole).
+        self.cached: "OrderedDict[str, Optional[_Held]]" = OrderedDict()
 
     def send(self, kind: str, payload: Any) -> None:
-        _write_frame(self.send_fd, pickle.dumps(
-            (kind, payload), protocol=pickle.HIGHEST_PROTOCOL))
+        _write_frame(self.send_fd, _encode(kind, payload))
+
+    def held_digest(self, uid: int) -> Optional[str]:
+        """The digest of the version of table ``uid`` this worker
+        caches, if any (there is at most one)."""
+        for digest, held in self.cached.items():
+            if held is not None and held.uid == uid:
+                return digest
+        return None
 
     def close_fds(self) -> None:
         for fd in (self.send_fd, self.recv_fd):
@@ -333,7 +393,10 @@ class WorkerPool:
     # -- dispatch ----------------------------------------------------------
 
     def _ship_tables(self, worker: _PoolWorker, job: Any,
-                     tables: Mapping[str, Any]) -> None:
+                     tables: Mapping[str, Any], frames: _Frames) -> None:
+        """Bring ``worker``'s cache up to every digest ``job`` needs,
+        encoding each ``store``/``extend`` frame at most once per
+        ``frames`` memo."""
         for digest in job.digest_map.values():
             if digest in worker.cached:
                 worker.cached.move_to_end(digest)
@@ -341,16 +404,36 @@ class WorkerPool:
                 continue
             table = tables[digest]
             _CACHE_MISSES.inc()
-            _ROWS_SHIPPED.inc(float(len(table.rows)))
-            worker.send("store", (digest, table))
-            worker.cached[digest] = None
+            uid = getattr(table, "uid", None)
+            old = delta = held = None
+            if uid is not None:
+                held = _Held(uid, table.data_version, len(table.rows))
+                old = worker.held_digest(uid)
+            if old is not None:
+                prior = worker.cached.pop(old)
+                delta = table.rows_appended_since(prior.version, prior.nrows)
+            if delta is not None:
+                _ROWS_SHIPPED.inc(float(len(delta)), kind="append")
+                key = (old, digest)
+                if key not in frames:
+                    frames[key] = _encode("extend", (old, digest, delta))
+            else:
+                if old is not None:
+                    worker.send("drop", old)  # superseded, not appendable
+                _ROWS_SHIPPED.inc(float(len(table.rows)), kind="full")
+                key = (None, digest)
+                if key not in frames:
+                    frames[key] = _encode("store", (digest, table))
+            _write_frame(worker.send_fd, frames[key])
+            worker.cached[digest] = held
             while len(worker.cached) > self.cache_tables_per_worker:
                 evicted, _ = worker.cached.popitem(last=False)
                 worker.send("drop", evicted)
 
     def _dispatch(self, worker: _PoolWorker, job: Any,
-                  tables: Mapping[str, Any], plan, attempt: int) -> None:
-        self._ship_tables(worker, job, tables)
+                  tables: Mapping[str, Any], plan, attempt: int,
+                  frames: _Frames) -> None:
+        self._ship_tables(worker, job, tables, frames)
         worker.send("run", (job, plan, "part:%d" % job.part, attempt))
         _DISPATCHES.inc()
 
@@ -409,6 +492,7 @@ class WorkerPool:
                          key=lambda i: (-(jobs[i].est or 0), i),
                          reverse=True)
         attempts = {index: attempt for index in range(len(jobs))}
+        frames: _Frames = {}
         idle = list(self._workers)
         busy: Dict[_PoolWorker, int] = {}
 
@@ -441,7 +525,7 @@ class WorkerPool:
                     index = pending.pop()
                     try:
                         self._dispatch(worker, jobs[index], tables, plan,
-                                       attempts[index])
+                                       attempts[index], frames)
                     except (OSError, pickle.PicklingError,
                             AttributeError, TypeError) as exc:
                         fail_dispatch(worker, index, exc)
@@ -481,6 +565,19 @@ class WorkerPool:
                     if tag == "ok":
                         results[index] = value
                         idle.append(worker)
+                        continue
+                    if tag == "missing":
+                        # The driver's view of this worker's cache was
+                        # wrong (a lost or mis-applied store/extend):
+                        # forget those tables so the retry ships them
+                        # whole.  The worker itself is healthy.
+                        for digest in value:
+                            worker.cached.pop(digest, None)
+                        idle.append(worker)
+                        retry_or_raise(index, faults.CORRUPT_PAYLOAD,
+                                       faults.CorruptPayload(
+                                           "pool worker cache is missing "
+                                           "tables: %s" % ", ".join(value)))
                         continue
                     if tag == "error":
                         fault = faults.fault_from_payload(value)

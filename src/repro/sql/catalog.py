@@ -50,8 +50,14 @@ class Table:
         #: shipped tables on it: an unchanged version means the cached
         #: content digest — and the worker's cached copy — are current.
         self.data_version = 0
-        self._uid = next(_TABLE_UIDS)
-        self._digest_cache: Optional[Tuple[int, str]] = None
+        #: process-unique identity, stable across content versions: the
+        #: pool recognizes an older cached version of this table by it.
+        self.uid = next(_TABLE_UIDS)
+        #: ``data_version`` at the last mutation that was not an
+        #: ``insert`` (index creation, stats refresh).  Every version
+        #: from here on differs from the next only by appended rows.
+        self._epoch_start = 0
+        self._digest_cache: Optional[Tuple[int, int, str]] = None
 
     def insert(self, row: Mapping[str, Any]) -> int:
         """Insert one row; returns its rowid (= position)."""
@@ -87,18 +93,45 @@ class Table:
         for position, record in enumerate(self.rows):
             index.add(record[column], position)
         self.indexes[column] = index
-        self.data_version += 1
+        self._start_epoch()
         return index
 
     def analyze(self) -> TableStats:
         """Recompute the optimizer statistics from the stored rows."""
         self.stats.refresh(self.rows)
-        self.data_version += 1
+        self._start_epoch()
         return self.stats
+
+    def _start_epoch(self) -> None:
+        self.data_version += 1
+        self._epoch_start = self.data_version
+
+    def rows_appended_since(self, version: int,
+                            nrows: int) -> Optional[List[Record]]:
+        """The rows appended since this table was at ``data_version``
+        ``version`` holding ``nrows`` rows, or None when anything else
+        changed since then.
+
+        Replaying the returned rows through :meth:`insert` turns a copy
+        of that older version into an exact copy of this one — rows,
+        index buckets and statistics — which is what lets the worker
+        pool ship a delta instead of the whole table.  None means the
+        copy cannot be brought up to date that way: an index was
+        created or the statistics refreshed since ``version`` (a new
+        epoch began), or rows were written behind the ``insert`` API,
+        which shows as a row-count change that ``data_version`` does
+        not account for.
+        """
+        appended = len(self.rows) - nrows
+        if version < self._epoch_start or appended < 0 \
+                or self.data_version - version != appended:
+            return None
+        return self.rows[nrows:]
 
     def content_digest(self) -> str:
         """A stable digest of this table's servable content (columns,
-        rows, index set), memoized by ``data_version``.
+        rows, index set), memoized by ``data_version`` and row count (so
+        rows written behind the ``insert`` API still change it).
 
         This is the worker pool's cache key: a worker holding a table
         under this digest can execute against it without any rows being
@@ -108,15 +141,16 @@ class Table:
         tables is not worth risking staleness of derived state (stats,
         index layout) that rides along with the shipped copy.
         """
+        version, nrows = self.data_version, len(self.rows)
         cached = self._digest_cache
-        if cached is not None and cached[0] == self.data_version:
-            return cached[1]
+        if cached is not None and cached[:2] == (version, nrows):
+            return cached[2]
         body = pickle.dumps(
-            (self._uid, self.data_version, self.columns,
-             tuple(sorted(self.indexes)), len(self.rows)),
+            (self.uid, version, self.columns,
+             tuple(sorted(self.indexes)), nrows),
             protocol=pickle.HIGHEST_PROTOCOL)
         digest = hashlib.sha256(body).hexdigest()[:24]
-        self._digest_cache = (self.data_version, digest)
+        self._digest_cache = (version, nrows, digest)
         return digest
 
     def __len__(self) -> int:

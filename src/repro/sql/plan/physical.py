@@ -1071,20 +1071,15 @@ class _PoolPartitionJob:
 
     def run_in_worker(self, cache: Dict[str, Any]):
         """Execute this partition inside a pool worker against the
-        worker's digest-keyed table ``cache``."""
-        from repro.service import faults
+        worker's digest-keyed table ``cache``.
+
+        The pool worker calls this only once every digest in
+        ``digest_map`` is cached; otherwise it replies ``missing``
+        without running the job, and the driver forgets those tables
+        for the worker and retries, shipping them whole."""
         from repro.sql.catalog import Catalog
         from repro.sql.executor import Executor
 
-        missing = sorted(name for name, digest in self.digest_map.items()
-                         if digest not in cache)
-        if missing:
-            # A store frame was lost or mis-decoded.  Classified as
-            # corruption: the pool retries, and a respawned worker's
-            # empty cache forces a clean re-ship.
-            raise faults.CorruptPayload(
-                "pool worker cache is missing tables: %s"
-                % ", ".join(missing))
         catalog = Catalog()
         catalog.tables = {name: cache[digest]
                           for name, digest in self.digest_map.items()}

@@ -3,8 +3,9 @@
 The SQL-level contracts (equivalence, chaos, cache metrics) live in
 ``tests/sql/``; this file pins the pool mechanics in isolation: the
 length-prefixed frame protocol, the driver-owned LRU table cache and
-its explicit ``drop`` frames, longest-estimate-first dispatch, and the
-process-wide singleton lifecycle.
+its explicit ``drop`` frames, append-delta ``extend`` frames,
+longest-estimate-first dispatch, and the process-wide singleton
+lifecycle.
 """
 
 import os
@@ -13,6 +14,7 @@ import pytest
 
 from repro.service import pool as pool_mod
 from repro.service.pool import WorkerPool, get_pool, reset_pool
+from repro.sql.catalog import Table
 
 
 # -- framing -------------------------------------------------------------------
@@ -91,6 +93,36 @@ class SeqJob:
         return seq
 
 
+def fingerprint(table):
+    """Everything a worker's copy must share with the driver's table:
+    rows in storage order, every index's buckets, the optimizer
+    statistics and the data version."""
+    columns = table.columns
+    return (
+        columns,
+        [tuple(record[c] for c in columns) for record in table.rows],
+        {column: {key: list(positions)
+                  for key, positions in index._buckets.items()}
+         for column, index in sorted(table.indexes.items())},
+        table.stats.row_count,
+        {column: (table.stats.ndv(column), table.stats.bounds(column))
+         for column in columns},
+        table.data_version,
+    )
+
+
+class FingerprintJob:
+    """Returns the :func:`fingerprint` of the worker's cached copy."""
+
+    def __init__(self, part, digest):
+        self.part = part
+        self.digest_map = {"t": digest}
+        self.est = 0
+
+    def run_in_worker(self, cache):
+        return fingerprint(cache[self.digest_map["t"]])
+
+
 @pytest.fixture
 def one_worker_pool():
     pool = WorkerPool(size=1, cache_tables_per_worker=2)
@@ -136,6 +168,82 @@ def test_warm_pool_ships_each_table_once(one_worker_pool):
     for part in range(4):
         pool.run_jobs([CacheKeysJob(part=part, digests=("d1",))], tables)
     assert pool_mod._ROWS_SHIPPED.total() == shipped_before + 7.0
+
+
+def _shipped(kind):
+    return pool_mod._ROWS_SHIPPED.value(kind=kind)
+
+
+def test_extend_matches_the_driver_copy_exactly():
+    """After an append, each worker replays only the new rows and ends
+    with rows, index buckets and statistics equal to the driver's."""
+    table = Table("t", ("id", "g", "v"))
+    table.create_index("g")
+    table.insert_many({"id": i, "g": i % 3, "v": i * 7} for i in range(30))
+    pool = WorkerPool(size=2)
+    try:
+        def fingerprints():
+            digest = table.content_digest()
+            jobs = [FingerprintJob(part, digest) for part in range(2)]
+            return pool.run_jobs(jobs, {digest: table})
+
+        assert fingerprints() == [fingerprint(table)] * 2
+        full, append = _shipped("full"), _shipped("append")
+        # New groups, a new maximum and a repeated key all move the
+        # index and the statistics.
+        table.insert({"id": 30, "g": 5, "v": 10 ** 6})
+        table.insert_many({"id": 31 + i, "g": i % 4, "v": -i}
+                          for i in range(4))
+        assert fingerprints() == [fingerprint(table)] * 2
+        assert _shipped("append") == append + 5 * 2
+        assert _shipped("full") == full
+        for worker in pool._workers:
+            assert list(worker.cached) == [table.content_digest()]
+    finally:
+        pool.close()
+
+
+def test_non_append_change_stores_whole_and_drops_old_version():
+    table = Table("t", ("id", "v"))
+    table.insert_many({"id": i, "v": i} for i in range(10))
+    pool = WorkerPool(size=1)
+    try:
+        old = table.content_digest()
+        pool.run_jobs([CacheKeysJob(digests=(old,))], {old: table})
+        full, append = _shipped("full"), _shipped("append")
+        table.create_index("v")
+        table.insert({"id": 10, "v": 10})
+        new = table.content_digest()
+        assert pool.run_jobs([CacheKeysJob(digests=(new,))],
+                             {new: table}) == [[new]]
+        assert _shipped("full") == full + 11
+        assert _shipped("append") == append
+        assert list(pool._workers[0].cached) == [new]
+    finally:
+        pool.close()
+
+
+def test_store_frame_is_encoded_once_per_run(monkeypatch):
+    """Two workers receiving the same table share one encoded frame."""
+    pool = WorkerPool(size=2)
+    tables = {"d1": FakeTable(5)}
+    stores = []
+    encode = pool_mod._encode
+
+    def counting_encode(kind, payload):
+        if kind == "store":
+            stores.append(payload[0])
+        return encode(kind, payload)
+
+    monkeypatch.setattr(pool_mod, "_encode", counting_encode)
+    try:
+        jobs = [CacheKeysJob(part=part, digests=("d1",))
+                for part in range(2)]
+        assert pool.run_jobs(jobs, tables) == [["d1"], ["d1"]]
+        assert stores == ["d1"]
+        assert all(list(w.cached) == ["d1"] for w in pool._workers)
+    finally:
+        pool.close()
 
 
 def test_dispatch_is_longest_estimate_first(one_worker_pool):

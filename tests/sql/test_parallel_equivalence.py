@@ -16,7 +16,9 @@ Three layers:
 * every corpus-inferred SQL statement, executed at K=4 (and again
   through the worker pool at K=2);
 * the pool's table cache: a warm pool re-ships zero rows for an
-  unchanged catalog, and a catalog mutation invalidates the digest.
+  unchanged catalog, an append ships only the appended rows, every
+  other mutation re-ships the whole table, and a driver/worker cache
+  desync heals inside the pool.
 """
 
 import re
@@ -302,9 +304,16 @@ def test_pool_reships_nothing_when_catalog_unchanged(small_db):
     assert pool_mod._CACHE_HITS.total() > hits_cold
 
 
+def _holders(pool, table):
+    """Workers whose cache holds ``table``'s current content."""
+    digest = table.content_digest()
+    return sum(digest in worker.cached for worker in pool._workers)
+
+
 def test_pool_reships_after_catalog_mutation(small_db):
     """An insert bumps the table's content digest, so the next pool
-    query re-ships that table (and only then caches the new version)."""
+    query ships that table again — only the appended rows, to every
+    worker holding the previous version."""
     from repro.service import pool as pool_mod
     db = Database()
     db.create_table("m", ("id", "v"))
@@ -315,7 +324,212 @@ def test_pool_reships_after_catalog_mutation(small_db):
     warm = pool_mod._ROWS_SHIPPED.total()
     view.execute(sql)
     assert pool_mod._ROWS_SHIPPED.total() == warm  # cached
+    holders = _holders(pool_mod.get_pool(), db.table("m"))
+    assert holders >= 1
     db.insert_many("m", ({"id": 100 + i, "v": i} for i in range(2)))
     result = view.execute(sql)
-    assert pool_mod._ROWS_SHIPPED.total() > warm  # re-shipped
+    assert pool_mod._ROWS_SHIPPED.total() == warm + 2 * holders
     assert list(result.rows) == list(db.execute(sql).rows)
+
+
+@pytest.fixture
+def two_workers():
+    """A fresh two-worker process-wide pool: with K=2 every query uses
+    both workers, so per-worker ship counts are exact on any box."""
+    from repro.service import pool as pool_mod
+    pool_mod.reset_pool()
+    pool = pool_mod._POOL = pool_mod.WorkerPool(size=2)
+    yield pool
+    pool_mod.reset_pool()
+
+
+def _shipped():
+    from repro.service import pool as pool_mod
+    return {kind: pool_mod._ROWS_SHIPPED.value(kind=kind)
+            for kind in ("full", "append")}
+
+
+def _shipped_since(before):
+    now = _shipped()
+    return {kind: now[kind] - before[kind] for kind in now}
+
+
+def _versions_held(pool, table):
+    """Per worker, how many versions of ``table`` its cache holds."""
+    return [sum(held is not None and held.uid == table.uid
+                for held in worker.cached.values())
+            for worker in pool._workers]
+
+
+APPEND_SQL = ("SELECT t0.v, COUNT(*) AS n, SUM(t0.id) AS tot "
+              "FROM m t0 GROUP BY t0.v")
+
+
+def _append_db(rows=40):
+    db = Database()
+    db.create_table("m", ("id", "v"))
+    db.create_index("m", "v")
+    db.insert_many("m", ({"id": i, "v": i % 4} for i in range(rows)))
+    return db
+
+
+def _assert_pool_matches_serial(db, view, sql):
+    serial = db.execute(sql)
+    result = view.execute(sql)
+    assert list(result.rows) == list(serial.rows)
+    assert result.columns == serial.columns
+    assert _stats_tuple(result.stats) == _stats_tuple(serial.stats)
+    assert result.stats.degradations == 0
+
+
+def test_pool_ships_only_appended_rows(two_workers):
+    db = _append_db()
+    table = db.table("m")
+    view = db.view(ExecutorOptions(parallel=2, parallel_backend="pool"))
+    _assert_pool_matches_serial(db, view, APPEND_SQL)
+    assert _holders(two_workers, table) == 2
+    next_id = len(table)
+    for appended in (1, 3, 7):
+        before = _shipped()
+        if appended == 1:
+            db.insert("m", {"id": next_id, "v": 9})
+        else:
+            db.insert_many("m", ({"id": next_id + i, "v": i}
+                                 for i in range(appended)))
+        next_id += appended
+        _assert_pool_matches_serial(db, view, APPEND_SQL)
+        assert _shipped_since(before) == {"full": 0, "append": appended * 2}
+        assert _versions_held(two_workers, table) == [1, 1]
+
+
+def _create_index(db, table):
+    db.create_index("m", "id")
+
+
+def _analyze(db, table):
+    db.analyze("m")
+
+
+def _behind_api(db, table):
+    from repro.tor.values import Record
+    table.rows.append(Record({"id": 1000, "v": 2}))
+
+
+def _index_and_behind_api(db, table):
+    # One data_version bump and one extra row: the version and row
+    # count deltas agree, so only the epoch tells this from an append.
+    _create_index(db, table)
+    _behind_api(db, table)
+
+
+@pytest.mark.parametrize("mutate", [_create_index, _analyze, _behind_api,
+                                    _index_and_behind_api],
+                         ids=lambda f: f.__name__.strip("_"))
+def test_pool_non_append_change_ships_whole_table(two_workers, mutate):
+    db = _append_db()
+    table = db.table("m")
+    view = db.view(ExecutorOptions(parallel=2, parallel_backend="pool"))
+    _assert_pool_matches_serial(db, view, APPEND_SQL)
+    old = table.content_digest()
+    before = _shipped()
+    mutate(db, table)
+    assert table.content_digest() != old
+    _assert_pool_matches_serial(db, view, APPEND_SQL)
+    assert _shipped_since(before) == {"full": len(table) * 2, "append": 0}
+    # The superseded version was dropped, not left for the LRU.
+    assert _versions_held(two_workers, table) == [1, 1]
+    # The fresh epoch appends normally again.
+    before = _shipped()
+    db.insert("m", {"id": 2000, "v": 1})
+    _assert_pool_matches_serial(db, view, APPEND_SQL)
+    assert _shipped_since(before) == {"full": 0, "append": 2}
+
+
+def test_pool_holds_one_version_per_table_over_append_cycles(two_workers):
+    db = _append_db()
+    db.create_table("other", ("k",))
+    db.insert("other", {"k": 1})
+    view = db.view(ExecutorOptions(parallel=2, parallel_backend="pool"))
+    before = _shipped()
+    for cycle in range(50):
+        db.insert("m", {"id": 100 + cycle, "v": cycle % 5})
+        _assert_pool_matches_serial(db, view, APPEND_SQL)
+    current = {db.table(name).content_digest() for name in ("m", "other")}
+    for worker in two_workers._workers:
+        assert set(worker.cached) == current
+    # One cold full ship of both tables, then one row per cycle each.
+    assert _shipped_since(before) == {"full": (41 + 1) * 2,
+                                      "append": 49 * 2}
+
+
+def _desync_counts(action):
+    from repro.service import pool as pool_mod
+    before = (pool_mod._RETRIES.value(kind="corrupt_payload"),
+              pool_mod._RESPAWNS.total(), _shipped())
+    action()
+    return {"retries": pool_mod._RETRIES.value(kind="corrupt_payload")
+            - before[0],
+            "respawns": pool_mod._RESPAWNS.total() - before[1],
+            "shipped": _shipped_since(before[2])}
+
+
+def test_pool_cache_desync_heals_without_degrading(two_workers):
+    """A worker that lost a table the driver thinks it holds answers
+    ``missing``; the driver forgets it and retries inside the pool, so
+    no query degrades and the table is re-shipped exactly once."""
+    db = _append_db()
+    table = db.table("m")
+    view = db.view(ExecutorOptions(parallel=2, parallel_backend="pool"))
+    _assert_pool_matches_serial(db, view, APPEND_SQL)
+    two_workers._workers[0].send("drop", table.content_digest())
+
+    def reads():
+        for _ in range(3):
+            _assert_pool_matches_serial(db, view, APPEND_SQL)
+
+    assert _desync_counts(reads) == {
+        "retries": 1, "respawns": 0,
+        "shipped": {"full": len(table), "append": 0}}
+    assert _versions_held(two_workers, table) == [1, 1]
+
+
+def test_pool_lost_extend_heals_with_full_ship(two_workers):
+    db = _append_db()
+    table = db.table("m")
+    view = db.view(ExecutorOptions(parallel=2, parallel_backend="pool"))
+    _assert_pool_matches_serial(db, view, APPEND_SQL)
+    two_workers._workers[0].send("drop", table.content_digest())
+
+    def append_then_reads():
+        db.insert_many("m", ({"id": 500 + i, "v": i} for i in range(3)))
+        for _ in range(2):
+            _assert_pool_matches_serial(db, view, APPEND_SQL)
+
+    assert _desync_counts(append_then_reads) == {
+        "retries": 1, "respawns": 0,
+        "shipped": {"full": len(table), "append": 3 * 2}}
+    assert _versions_held(two_workers, table) == [1, 1]
+
+
+def test_pool_misapplied_extend_heals_with_full_ship(two_workers,
+                                                     monkeypatch):
+    """Rows a worker cannot insert discard its copy; the next run
+    reports the table missing and the retry ships it whole."""
+    from repro.sql.catalog import Table
+    db = _append_db()
+    table = db.table("m")
+    view = db.view(ExecutorOptions(parallel=2, parallel_backend="pool"))
+    _assert_pool_matches_serial(db, view, APPEND_SQL)
+
+    def append_then_reads():
+        db.insert("m", {"id": 700, "v": 1})
+        with monkeypatch.context() as patch:
+            patch.setattr(Table, "rows_appended_since",
+                          lambda self, version, nrows: [{"bogus": 1}])
+            _assert_pool_matches_serial(db, view, APPEND_SQL)
+        _assert_pool_matches_serial(db, view, APPEND_SQL)
+
+    assert _desync_counts(append_then_reads) == {
+        "retries": 2, "respawns": 0,
+        "shipped": {"full": len(table) * 2, "append": 1 * 2}}
+    assert _versions_held(two_workers, table) == [1, 1]

@@ -197,3 +197,43 @@ def test_fault_free_pool_run_is_marked_in_analyze(chaos_db):
     text = view.explain(JOIN, analyze=True)
     assert "backend=pool" in text
     assert "degraded=" not in text
+
+
+def test_crash_on_first_read_after_append(chaos_db):
+    """A worker killed on the first read after an append: its
+    replacement starts empty and receives the whole table, the
+    surviving worker receives only the appended rows, and the answer
+    is still identical to serial."""
+    pool_mod.reset_pool()
+    pool = pool_mod._POOL = pool_mod.WorkerPool(size=2)
+    try:
+        db = Database()
+        db.create_table("r", ("id", "a"))
+        db.insert_many("r", ({"id": i, "a": i % 5} for i in range(40)))
+        view = _pool_view(db)
+        _assert_identical_to_serial(db, view, GROUPED)
+        db.insert_many("r", ({"id": 40 + i, "a": i} for i in range(6)))
+        kinds = ("full", "append")
+        shipped = {kind: pool_mod._ROWS_SHIPPED.value(kind=kind)
+                   for kind in kinds}
+        plan = FaultPlan(faults={"part:1": faults.CRASH})
+
+        def run():
+            with faults.injected(plan):
+                return _assert_identical_to_serial(db, view, GROUPED)
+
+        _, deltas = _metric_deltas(run)
+        assert deltas == {"dispatches": 3, "respawns": 1, "retries": 1}
+        # The retry may land on the survivor; the replacement then gets
+        # its full ship on the next read.  Over both reads the counts
+        # are exact: both original workers were sent the 6-row delta
+        # (one crashed holding it) and the replacement one full table.
+        _assert_identical_to_serial(db, view, GROUPED)
+        shipped = {kind: pool_mod._ROWS_SHIPPED.value(kind=kind)
+                   - shipped[kind] for kind in kinds}
+        assert shipped == {"full": 46, "append": 6 * 2}
+        digest = db.table("r").content_digest()
+        assert [list(worker.cached) for worker in pool._workers] == \
+            [[digest], [digest]]
+    finally:
+        pool_mod.reset_pool()
